@@ -13,6 +13,7 @@
 
 use crate::Result;
 use rules::{drl, Engine};
+use std::sync::OnceLock;
 
 /// §III-A: load imbalance.
 pub const LOAD_BALANCE_RULES: &str = r#"
@@ -179,16 +180,49 @@ then
 end
 "#;
 
-/// Parses one rulebase into an engine.
+/// Builds an engine over one rulebase. The shipped rulebases are
+/// parsed once per process and served as clones of a template engine;
+/// any other text is parsed on every call.
 pub fn engine_with(source: &str) -> Result<Engine> {
-    let mut engine = Engine::new();
-    engine.add_rules(drl::parse(source)?)?;
-    Ok(engine)
+    engine_with_all(&[source])
 }
 
-/// Parses several rulebases into one engine (rule names must be unique
-/// across them).
+/// Builds one engine over several rulebases (rule names must be unique
+/// across them). A single shipped rulebase and the locality
+/// combination `[STALL_RULES, LOCALITY_RULES, LOAD_BALANCE_RULES]` are
+/// served from parse-once templates; anything else is parsed.
 pub fn engine_with_all(sources: &[&str]) -> Result<Engine> {
+    // One template per slot: the rules and alpha network of its
+    // sources, with empty working memory, built on first use. A parse
+    // error is returned and never stored, so it recurs on every call.
+    static TEMPLATES: [OnceLock<Engine>; SHIPPED.len() + 1] =
+        [const { OnceLock::new() }; SHIPPED.len() + 1];
+    let Some(cell) = template_slot(sources).map(|slot| &TEMPLATES[slot]) else {
+        return parse_all(sources);
+    };
+    if let Some(template) = cell.get() {
+        return Ok(template.clone());
+    }
+    let engine = parse_all(sources)?;
+    Ok(cell.get_or_init(|| engine).clone())
+}
+
+/// The shipped rulebases, each with a template, in slot order; the
+/// locality combination takes the slot after them.
+const SHIPPED: [&str; 4] = [LOAD_BALANCE_RULES, STALL_RULES, LOCALITY_RULES, POWER_RULES];
+
+/// The combination `workflow::analyze_locality` loads.
+const LOCALITY_COMBINATION: [&str; 3] = [STALL_RULES, LOCALITY_RULES, LOAD_BALANCE_RULES];
+
+fn template_slot(sources: &[&str]) -> Option<usize> {
+    match sources {
+        [one] => SHIPPED.iter().position(|s| s == one),
+        _ if sources == LOCALITY_COMBINATION => Some(SHIPPED.len()),
+        _ => None,
+    }
+}
+
+fn parse_all(sources: &[&str]) -> Result<Engine> {
     let mut engine = Engine::new();
     for s in sources {
         engine.add_rules(drl::parse(s)?)?;
@@ -198,7 +232,7 @@ pub fn engine_with_all(sources: &[&str]) -> Result<Engine> {
 
 /// Every shipped rulebase.
 pub fn all_rulebases() -> [&'static str; 4] {
-    [LOAD_BALANCE_RULES, STALL_RULES, LOCALITY_RULES, POWER_RULES]
+    SHIPPED
 }
 
 #[cfg(test)]

@@ -752,7 +752,11 @@ fn call_host(
                 "power" => rulebase::POWER_RULES,
                 other => return Err(host_err(format!("unknown rulebase {other:?}"))),
             };
-            let parsed = rules::drl::parse(source).map_err(|e| host_err(e.to_string()))?;
+            // The shipped text's parse-once template supplies the rules.
+            let parsed = rulebase::engine_with(source)
+                .map_err(|e| host_err(e.to_string()))?
+                .rules()
+                .to_vec();
             let n = parsed.len();
             state
                 .borrow_mut()
@@ -905,6 +909,39 @@ mod tests {
             )
             .unwrap();
         assert_eq!(out, Value::Bool(true));
+    }
+
+    #[test]
+    fn load_rules_adds_the_shipped_rules_in_source_order() {
+        // `load_rules` serves the shipped rulebases from their parse-once
+        // templates; the session must end up with exactly the rules a
+        // fresh parse gives, in the same order, with the same counts.
+        let mut session = PerfExplorerScript::new(Repository::new());
+        let out = session
+            .run(r#"[load_rules("stalls"), load_rules("locality"), load_rules("power")]"#)
+            .unwrap();
+        let sources = [
+            rulebase::STALL_RULES,
+            rulebase::LOCALITY_RULES,
+            rulebase::POWER_RULES,
+        ];
+        let parsed: Vec<Vec<rules::Rule>> = sources
+            .iter()
+            .map(|s| rules::drl::parse(s).unwrap())
+            .collect();
+        assert_eq!(
+            out,
+            Value::List(parsed.iter().map(|r| Value::Num(r.len() as f64)).collect())
+        );
+        let expected: Vec<String> = parsed.iter().flatten().map(|r| format!("{r:?}")).collect();
+        let state = session.state.borrow();
+        let loaded: Vec<String> = state
+            .engine
+            .rules()
+            .iter()
+            .map(|r| format!("{r:?}"))
+            .collect();
+        assert_eq!(loaded, expected);
     }
 
     #[test]

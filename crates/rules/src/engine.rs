@@ -27,6 +27,7 @@ use crate::{Result, RuleError};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A structured conclusion emitted by a rule — the engine's primary
 /// output for the analysis layer. Where the paper's rules print their
@@ -110,10 +111,12 @@ type AgendaKey = (Reverse<i32>, usize, Reverse<Vec<FactHandle>>);
 /// One alpha memory: the set of fact handles passing a pattern's
 /// environment-independent tests (fact type + literal constraints).
 /// Patterns with identical signatures share a memory.
+#[derive(Clone)]
 struct AlphaMemory {
     /// The shared alpha test: `filter.fact_type` plus only the literal
-    /// constraints of the patterns using this memory.
-    filter: Pattern,
+    /// constraints of the patterns using this memory. Immutable once
+    /// built, so engine clones share it.
+    filter: Arc<Pattern>,
     /// Facts currently passing the test, in handle (recency) order.
     handles: BTreeSet<FactHandle>,
     /// `(rule index, pattern position)` pairs reading this memory.
@@ -121,8 +124,15 @@ struct AlphaMemory {
 }
 
 /// A forward-chaining rule engine.
+///
+/// Cloning shares the rules and copies the alpha network, working
+/// memory and the agenda: a clone of an engine with rules loaded and no
+/// facts asserted is a ready-to-use template that skips parsing and
+/// alpha construction.
+#[derive(Clone)]
 pub struct Engine {
-    rules: Vec<Rule>,
+    /// Shared between clones until one of them adds a rule.
+    rules: Arc<Vec<Rule>>,
     wm: BTreeMap<FactHandle, Fact>,
     next_handle: u64,
     /// Refraction memory: activations that already fired.
@@ -152,7 +162,7 @@ impl Engine {
     /// Creates an empty engine with the default cycle limit.
     pub fn new() -> Self {
         Engine {
-            rules: Vec::new(),
+            rules: Arc::new(Vec::new()),
             wm: BTreeMap::new(),
             next_handle: 0,
             fired: BTreeSet::new(),
@@ -186,7 +196,7 @@ impl Engine {
             pattern_alphas.push(a);
         }
         self.rule_alpha.push(pattern_alphas);
-        self.rules.push(rule);
+        Arc::make_mut(&mut self.rules).push(rule);
         self.conflict.push(BTreeMap::new());
         self.recompute_rule(idx);
         Ok(())
@@ -217,7 +227,7 @@ impl Engine {
             .collect();
         let a = self.alphas.len();
         self.alphas.push(AlphaMemory {
-            filter,
+            filter: Arc::new(filter),
             handles,
             users: Vec::new(),
         });
@@ -325,6 +335,11 @@ impl Engine {
     /// Number of rules loaded.
     pub fn rule_count(&self) -> usize {
         self.rules.len()
+    }
+
+    /// The loaded rules, in the order they were added.
+    pub fn rules(&self) -> &[Rule] {
+        &self.rules
     }
 
     /// Clears facts, the agenda and refraction memory, keeping the

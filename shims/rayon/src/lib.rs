@@ -2,24 +2,39 @@
 //!
 //! Implements the slice/range data-parallel subset the workspace uses —
 //! `par_iter()` / `into_par_iter()` followed by `map(...).collect()`,
-//! `map(...).sum()` or `for_each(...)` — with real parallelism: items
-//! are split into one contiguous chunk per available core and processed
-//! on std scoped threads, preserving input order in the collected
-//! output. There is no work-stealing; for the embarrassingly-parallel
-//! loops this workspace runs (per-event analysis kernels), static
-//! chunking is within noise of a real scheduler.
+//! `map(...).sum()` or `for_each(...)` — with real parallelism on a
+//! process-wide pool of persistent worker threads, started on first use
+//! (`concurrency_budget() - 1` of them; the calling thread is the last
+//! pair of hands).
+//!
+//! A call publishes its items as a *job*: the items, the closure, an
+//! atomic claim cursor over fixed-size chunks, and a latch counting the
+//! pool workers that joined. The caller starts claiming and running
+//! chunks at once; idle workers are woken and claim from the same
+//! cursor. The caller then withdraws the job, so no worker can join
+//! late, and waits only for workers already inside it — never for one
+//! to *start* — so nested calls cannot deadlock. Results land in their
+//! input slots, so output order is input order. On a small input the
+//! caller has claimed every chunk before a woken worker arrives, which
+//! makes the pool's wake-up latency the sequential cutoff: no size
+//! threshold is needed. A panic in any chunk is caught where it happens
+//! and re-raised on the caller with its original payload once every
+//! joined worker has left; the worker that caught it lives on.
 
+use std::any::Any;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::Thread;
 
-/// The global concurrency budget: the maximum number of *spawned*
-/// worker threads the shim will run at any moment, across every
-/// concurrent `par_iter` call in the process. Real rayon gets this
-/// for free from its fixed pool; the scoped-thread shim enforces it
-/// with a token counter. Overridden by the `RAYON_NUM_THREADS`
-/// environment variable (read once), defaulting to the core count.
+/// The global concurrency budget: the most threads that run `par_iter`
+/// work at any moment, across every concurrent call in the process —
+/// the pool's `concurrency_budget() - 1` workers plus a caller.
+/// Overridden by the `RAYON_NUM_THREADS` environment variable (read
+/// once), defaulting to the core count.
 pub fn concurrency_budget() -> usize {
-    static BUDGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static BUDGET: OnceLock<usize> = OnceLock::new();
     *BUDGET.get_or_init(|| {
         if let Some(v) = std::env::var("RAYON_NUM_THREADS")
             .ok()
@@ -33,10 +48,8 @@ pub fn concurrency_budget() -> usize {
     })
 }
 
-/// Live spawned workers (global). Callers' own threads do not count:
-/// a caller that gets no tokens processes its items inline, so nested
-/// or massively concurrent calls degrade to sequential instead of
-/// oversubscribing.
+/// Pool workers currently inside a job (global). Callers' own threads
+/// do not count.
 static LIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 /// High-water mark of [`LIVE_WORKERS`], for regression tests.
 static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
@@ -46,12 +59,12 @@ static PEAK_WORKERS: AtomicUsize = AtomicUsize::new(0);
 pub mod diagnostics {
     use super::{Ordering, LIVE_WORKERS, PEAK_WORKERS};
 
-    /// Spawned workers currently running.
+    /// Pool workers currently running part of a job.
     pub fn live_workers() -> usize {
         LIVE_WORKERS.load(Ordering::SeqCst)
     }
 
-    /// Highest number of concurrently live spawned workers observed
+    /// Highest number of pool workers inside jobs at once observed
     /// since the last [`reset_peak`].
     pub fn peak_workers() -> usize {
         PEAK_WORKERS.load(Ordering::SeqCst)
@@ -63,109 +76,247 @@ pub mod diagnostics {
     }
 }
 
-/// Tries to reserve up to `want` worker tokens from the global budget,
-/// returning how many were actually granted (possibly zero). Never
-/// blocks: a caller that cannot get tokens runs inline, which keeps
-/// nested calls deadlock-free.
-fn acquire_workers(want: usize) -> usize {
-    let budget = concurrency_budget();
-    loop {
-        let live = LIVE_WORKERS.load(Ordering::SeqCst);
-        let granted = want.min(budget.saturating_sub(live));
-        if granted == 0 {
-            return 0;
-        }
-        if LIVE_WORKERS
-            .compare_exchange(live, live + granted, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            PEAK_WORKERS.fetch_max(live + granted, Ordering::SeqCst);
-            return granted;
+/// Chunks per thread of the budget: enough that a worker arriving late
+/// still finds work to share, few enough that claiming stays cheap.
+const CHUNKS_PER_THREAD: usize = 4;
+
+type Payload = Box<dyn Any + Send>;
+
+/// The shared, type-erased half of one `par_map_vec` call.
+struct Job {
+    /// Start of the next unclaimed chunk.
+    next: AtomicUsize,
+    len: usize,
+    /// Items per claimed chunk.
+    grain: usize,
+    /// The latch: pool workers that joined and have not yet left.
+    helpers: AtomicUsize,
+    /// The first panic payload of any chunk.
+    panic: Mutex<Option<Payload>>,
+    /// The calling thread, unparked when the last helper leaves.
+    caller: Thread,
+    /// `&Work<T, R, F>` on the caller's stack, and the chunk runner
+    /// that knows its types. Valid while the caller waits in
+    /// `par_map_vec`, which outlasts every helper inside the job.
+    work: *const (),
+    run: unsafe fn(*const (), Range<usize>),
+}
+
+// SAFETY: `next`, `helpers`, `panic` (its payload is `Send`), `caller`
+// and the plain `len`/`grain`/`run` are thread-safe on their own.
+// `work` points at a `Work` whose items and results are `Send` and
+// whose closure is `Sync`, as `par_map_vec`'s bounds require; each
+// item and result slot is touched by the one thread that claimed its
+// index through `next`, and the caller keeps the pointee alive until
+// `helpers` drains to zero.
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
+
+impl Job {
+    fn has_work(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.len
+    }
+
+    /// Claims and runs chunks until none are left. A panicking chunk
+    /// keeps the first payload; the thread goes on claiming.
+    fn drain(&self) {
+        loop {
+            // `Relaxed` suffices: the read-modify-write alone makes each
+            // claim unique, and the items were published to helpers by
+            // the pool lock they joined under.
+            let start = self.next.fetch_add(self.grain, Ordering::Relaxed);
+            if start >= self.len {
+                return;
+            }
+            let chunk = start..(start + self.grain).min(self.len);
+            // SAFETY: the chunk was claimed by this thread alone, and
+            // `work` outlives the job (see `Job::work`).
+            let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+                (self.run)(self.work, chunk)
+            }));
+            if let Err(payload) = ran {
+                lock(&self.panic).get_or_insert(payload);
+            }
         }
     }
 }
 
-fn release_workers(count: usize) {
-    LIVE_WORKERS.fetch_sub(count, Ordering::SeqCst);
+/// The typed half of a call: input slots, output slots and closure.
+struct Work<'f, T, R, F> {
+    items: *mut Option<T>,
+    out: *mut Option<R>,
+    f: &'f F,
 }
 
-/// Applies `f` to every item on a pool of scoped threads, preserving
-/// order. The calling thread always processes the first chunk itself;
-/// additional chunks run on spawned threads, bounded by the global
-/// [`concurrency_budget`]. A panic in any chunk is re-raised on the
-/// caller with its *original* payload (after all workers finish), so
+/// Runs `f` over one claimed chunk of a `Work<T, R, F>`.
+///
+/// # Safety
+/// `work` must point at a live `Work<T, R, F>` and `chunk` must be in
+/// bounds and claimed by the calling thread alone.
+unsafe fn run_chunk<T, R, F: Fn(T) -> R>(work: *const (), chunk: Range<usize>) {
+    let work = &*(work as *const Work<'_, T, R, F>);
+    for i in chunk {
+        if let Some(item) = (*work.items.add(i)).take() {
+            *work.out.add(i) = Some((work.f)(item));
+        }
+    }
+}
+
+/// Locks a pool mutex, recovering it from poisoning: no code panics
+/// while holding one, and each update (a push, a retain, a counter, a
+/// payload store) leaves the data valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The process-wide worker pool.
+struct Pool {
+    state: Mutex<PoolState>,
+    wake: Condvar,
+}
+
+struct PoolState {
+    /// Published jobs; a caller withdraws its own before waiting.
+    jobs: Vec<Arc<Job>>,
+    /// Workers waiting on `wake`.
+    sleeping: usize,
+    /// Wake-ups sent that no worker has consumed yet. A job published
+    /// while one is pending does not send another: the woken worker
+    /// scans every published job when it runs.
+    waking: usize,
+}
+
+/// The pool, started on first use; `None` when the budget leaves no
+/// room for workers (or none could be started).
+fn pool() -> Option<&'static Pool> {
+    static POOL: OnceLock<Option<&'static Pool>> = OnceLock::new();
+    *POOL.get_or_init(|| {
+        let workers = concurrency_budget() - 1;
+        if workers == 0 {
+            return None;
+        }
+        let pool: &'static Pool = Box::leak(Box::new(Pool {
+            state: Mutex::new(PoolState {
+                jobs: Vec::new(),
+                sleeping: 0,
+                waking: 0,
+            }),
+            wake: Condvar::new(),
+        }));
+        // Workers are detached and live as long as the process; their
+        // loop cannot unwind, since every chunk runs under
+        // `catch_unwind`.
+        let started = (0..workers)
+            .filter(|i| {
+                std::thread::Builder::new()
+                    .name(format!("rayon-shim-{i}"))
+                    .spawn(move || pool.serve())
+                    .is_ok()
+            })
+            .count();
+        (started > 0).then_some(pool)
+    })
+}
+
+impl Pool {
+    /// A worker's life: join any published job with unclaimed chunks,
+    /// help drain it, leave, repeat; sleep when there is none.
+    fn serve(&self) {
+        let mut state = lock(&self.state);
+        loop {
+            let Some(job) = state.jobs.iter().find(|j| j.has_work()).cloned() else {
+                state.sleeping += 1;
+                state = self
+                    .wake
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                state.sleeping -= 1;
+                // Saturating: a spurious wake-up consumes no wake-up.
+                state.waking = state.waking.saturating_sub(1);
+                continue;
+            };
+            // Joining under the pool lock: the caller withdraws the job
+            // under the same lock before it reads the latch.
+            job.helpers.fetch_add(1, Ordering::Relaxed);
+            let live = LIVE_WORKERS.fetch_add(1, Ordering::SeqCst) + 1;
+            PEAK_WORKERS.fetch_max(live, Ordering::SeqCst);
+            drop(state);
+            job.drain();
+            LIVE_WORKERS.fetch_sub(1, Ordering::SeqCst);
+            // Release: this helper's result writes happen before the
+            // caller's `Acquire` load sees the latch at zero.
+            if job.helpers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                job.caller.unpark();
+            }
+            drop(job);
+            state = lock(&self.state);
+        }
+    }
+
+    /// Publishes a job and wakes as many sleeping workers, beyond those
+    /// already being woken, as it has chunks beyond the caller's first.
+    fn publish(&self, job: &Arc<Job>) {
+        let mut state = lock(&self.state);
+        state.jobs.push(Arc::clone(job));
+        let unwoken = state.sleeping.saturating_sub(state.waking);
+        let wanted = unwoken.min(job.len.div_ceil(job.grain) - 1);
+        state.waking += wanted;
+        drop(state);
+        for _ in 0..wanted {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Withdraws a job: from here on no worker can join it.
+    fn withdraw(&self, job: &Arc<Job>) {
+        lock(&self.state).jobs.retain(|j| !Arc::ptr_eq(j, job));
+    }
+}
+
+/// Applies `f` to every item, preserving order, with the calling thread
+/// and any idle pool workers claiming chunks from a shared cursor (see
+/// the crate docs). A panic in any chunk is re-raised on the caller with
+/// its *original* payload after every joined worker has left, so
 /// `catch_unwind`-based supervisors see the real cause, not a shim
 /// message.
 fn par_map_vec<T: Send, R: Send, F: Fn(T) -> R + Sync>(items: Vec<T>, f: &F) -> Vec<R> {
     let n = items.len();
-    if n < 2 {
-        return items.into_iter().map(f).collect();
-    }
-    let spawned = acquire_workers(concurrency_budget().min(n) - 1);
-    let workers = spawned + 1;
-    if workers <= 1 {
-        release_workers(spawned);
-        return items.into_iter().map(f).collect();
-    }
-    let chunk_len = n.div_ceil(workers);
-    let mut chunks: Vec<Vec<T>> = Vec::with_capacity(workers);
-    let mut rest = items;
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
-    // Ceil-division chunking can produce fewer chunks than granted
-    // tokens (e.g. 5 items over 4 workers yields 3 chunks); hand the
-    // unused tokens back before spawning.
-    let unused = (spawned + 1).saturating_sub(chunks.len());
-    if unused > 0 {
-        release_workers(unused);
-    }
-    let mut chunks = chunks.into_iter();
-    let first = chunks.next().unwrap_or_default();
-    let results: Vec<std::thread::Result<Vec<R>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .map(|chunk| {
-                scope.spawn(move || {
-                    // Token released even if `f` panics, so a panicking
-                    // kernel cannot leak budget.
-                    struct Token;
-                    impl Drop for Token {
-                        fn drop(&mut self) {
-                            crate::release_workers(1);
-                        }
-                    }
-                    let _token = Token;
-                    chunk.into_iter().map(f).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        // The caller's chunk runs while the workers do, under the same
-        // panic capture so every token is released before re-raising.
-        let mine = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            first.into_iter().map(f).collect::<Vec<R>>()
-        }));
-        std::iter::once(mine)
-            .chain(handles.into_iter().map(|h| h.join()))
-            .collect()
+    let pool = match pool() {
+        Some(pool) if n >= 2 => pool,
+        _ => return items.into_iter().map(f).collect(),
+    };
+    let mut items: Vec<Option<T>> = items.into_iter().map(Some).collect();
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
+    let work = Work {
+        items: items.as_mut_ptr(),
+        out: out.as_mut_ptr(),
+        f,
+    };
+    let job = Arc::new(Job {
+        next: AtomicUsize::new(0),
+        len: n,
+        grain: n.div_ceil(concurrency_budget() * CHUNKS_PER_THREAD),
+        helpers: AtomicUsize::new(0),
+        panic: Mutex::new(None),
+        caller: std::thread::current(),
+        work: &work as *const Work<'_, T, R, F> as *const (),
+        run: run_chunk::<T, R, F>,
     });
-    let mut out = Vec::with_capacity(n);
-    let mut panic_payload = None;
-    for r in results {
-        match r {
-            Ok(v) => out.extend(v),
-            Err(payload) => {
-                if panic_payload.is_none() {
-                    panic_payload = Some(payload);
-                }
-            }
-        }
+    pool.publish(&job);
+    job.drain();
+    pool.withdraw(&job);
+    while job.helpers.load(Ordering::Acquire) != 0 {
+        std::thread::park();
     }
-    if let Some(payload) = panic_payload {
+    // Items a panicking chunk never reached are still in `items`; they
+    // drop with it.
+    drop(items);
+    if let Some(payload) = lock(&job.panic).take() {
         std::panic::resume_unwind(payload);
     }
-    out
+    out.into_iter()
+        .map(|r| r.expect("every claimed item produced a result"))
+        .collect()
 }
 
 /// A materialized parallel iterator over owned items.
@@ -452,5 +603,98 @@ mod tests {
             .downcast_ref::<String>()
             .expect("formatted panic payload is a String");
         assert!(msg.contains("index out of range"), "{msg}");
+    }
+
+    #[test]
+    fn back_to_back_calls_reuse_the_pool_threads() {
+        // Regression: every call used to spawn fresh scoped threads, so
+        // each call's helpers had new thread ids. The pool's workers
+        // persist: however many calls run, the non-caller threads that
+        // ever ran an item are at most the pool itself.
+        let caller = std::thread::current().id();
+        let mut helpers = std::collections::HashSet::new();
+        for _ in 0..10_000 {
+            let ids: Vec<std::thread::ThreadId> = (0..64)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            helpers.extend(ids.into_iter().filter(|id| *id != caller));
+        }
+        let budget = crate::concurrency_budget();
+        assert!(
+            helpers.len() <= budget,
+            "{} distinct helper threads for a budget of {budget}",
+            helpers.len()
+        );
+    }
+
+    /// Runs `body` on its own thread and fails the test if it does not
+    /// finish within a generous bound (a deadlock would hang forever);
+    /// a panic in `body` is re-raised here.
+    fn finishes_in_time(body: impl FnOnce() + Send + 'static) {
+        let (done, finished) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => panic!("parallel call deadlocked"),
+            _ => {
+                if let Err(payload) = runner.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
+    }
+
+    /// Maps `f` over two items that each wait for the other at a
+    /// barrier, so the call completes only once two threads hold one
+    /// item each: at least one of them a pool worker, which this checks.
+    fn on_caller_and_worker<R: Send>(f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let caller = std::thread::current().id();
+        let both = std::sync::Barrier::new(2);
+        let out: Vec<(bool, R)> = (0..2)
+            .into_par_iter()
+            .map(|i| {
+                both.wait();
+                (std::thread::current().id() != caller, f(i))
+            })
+            .collect();
+        assert!(out.iter().any(|(on_worker, _)| *on_worker));
+        out.into_iter().map(|(_, r)| r).collect()
+    }
+
+    #[test]
+    fn nested_call_inside_a_pool_worker_completes() {
+        if crate::concurrency_budget() == 1 {
+            return; // no pool: every call runs inline
+        }
+        finishes_in_time(|| {
+            let sums: Vec<usize> =
+                on_caller_and_worker(|i| (0..64).into_par_iter().map(|j| i * j).sum());
+            assert_eq!(sums, vec![0, (0..64).sum::<usize>()]);
+        });
+    }
+
+    #[test]
+    fn pool_survives_a_panicking_job() {
+        let _serial = GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        if crate::concurrency_budget() == 1 {
+            return; // no pool: every call runs inline
+        }
+        finishes_in_time(|| {
+            // Both items panic, one of them on a pool worker, which
+            // catches its panic and lives on. The call re-raises one
+            // payload.
+            let caught = std::panic::catch_unwind(|| {
+                on_caller_and_worker(|i| -> usize { panic!("item {i} failed") })
+            });
+            assert!(caught.is_err(), "panic must propagate");
+            let squares: Vec<usize> = (0..1000).into_par_iter().map(|i| i * i).collect();
+            assert_eq!(squares, (0..1000).map(|i| i * i).collect::<Vec<_>>());
+            // Completes only if a worker is still serving.
+            assert_eq!(on_caller_and_worker(|i| i), vec![0, 1]);
+        });
+        assert_tokens_drain();
     }
 }
